@@ -1,48 +1,98 @@
 #!/usr/bin/env sh
-# CI smoke job: lint (when ruff is available) + the tier-1 test command.
+# CI smoke job: lint (when ruff is available) + the tier-1 test command
+# + the end-to-end smoke gates below.
 #
 # Usage: sh scripts/ci_smoke.sh
 #
 # The ruff configuration lives in pyproject.toml ([tool.ruff]); install
-# it with `pip install -e .[lint]`.  Environments without ruff (e.g. the
-# hermetic reproduction container) skip the lint step with a notice and
-# still gate on the tier-1 pytest run.
+# it and pytest-cov with `pip install -e .[lint]`.  Environments without
+# them (e.g. the hermetic reproduction container) skip the lint and
+# coverage gates and still run every other gate.  The job ends with one
+# summary line per gate: "pass", "FAIL", or "skipped (<why>)" -- a gate
+# whose tool is missing never reads as passed.
 set -eu
 
 cd "$(dirname "$0")/.."
 
+NL='
+'
+SUMMARY=""
+CURRENT_GATE=""
+OBS_DIR=""
+SERVE_DIR=""
+SERVE_PID=""
+
+# Record the open gate's outcome (no-op when none is open).
+close_gate() {
+    if [ -n "$CURRENT_GATE" ]; then
+        SUMMARY="$SUMMARY$CURRENT_GATE: $1$NL"
+        CURRENT_GATE=""
+    fi
+}
+
+# Open a gate; reaching the next one means the previous one passed.
+gate() {
+    close_gate pass
+    CURRENT_GATE="$1"
+    echo "== $1 =="
+}
+
+skip_gate() {
+    close_gate pass
+    echo "== $1: skipped ($2) =="
+    SUMMARY="$SUMMARY$1: skipped ($2)$NL"
+}
+
+finish() {
+    status=$?
+    if [ "$status" -eq 0 ]; then
+        close_gate pass
+    else
+        close_gate FAIL
+    fi
+    if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
+        kill -TERM "$SERVE_PID" 2>/dev/null || true
+        wait "$SERVE_PID" 2>/dev/null || true
+    fi
+    rm -rf ${OBS_DIR:+"$OBS_DIR"} ${SERVE_DIR:+"$SERVE_DIR"}
+    echo "== gate summary =="
+    printf '%s' "$SUMMARY"
+    exit "$status"
+}
+trap finish EXIT
+
 if command -v ruff >/dev/null 2>&1; then
-    echo "== ruff check =="
+    gate "lint"
     ruff check src tests scripts benchmarks
 else
-    echo "== ruff not installed; skipping lint (pip install -e .[lint]) =="
+    skip_gate "lint" "ruff not installed"
 fi
 
-echo "== tier-1 tests =="
-# With pytest-cov available the run doubles as the coverage gate
+# With pytest-cov available the tier-1 run doubles as the coverage gate
 # (`pip install -e .[lint]`); hermetic containers without it still gate
 # on the plain tier-1 pytest run.
 if python -c "import pytest_cov" >/dev/null 2>&1; then
     COV_FLAGS="--cov=repro --cov-fail-under=80"
+    gate "tier-1 tests + coverage"
 else
-    echo "== pytest-cov not installed; skipping coverage gate =="
+    skip_gate "coverage" "pytest-cov not installed"
     COV_FLAGS=""
+    gate "tier-1 tests"
 fi
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q $COV_FLAGS
 
-echo "== audited simulation smoke =="
+gate "audited simulation smoke"
 # Every shipped scheme under the full correctness audit layer (runtime
 # invariants, differential oracles, shadow replay); exits non-zero on
 # any violation.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro sim --audit \
     --scale small --schemes lru,lnc-r,coordinated,adaptive,costaware
 
-echo "== instrumented simulation smoke =="
+gate "instrumented simulation smoke"
 # One coordinated run with the full observability layer on: JSONL event
 # trace, per-node stat table, phase timers, windowed time series -- then
 # the trace subcommand summarizing what the run wrote.
 OBS_DIR=$(mktemp -d)
-trap 'rm -rf "$OBS_DIR"' EXIT
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro sim \
     --scale small --schemes coordinated --size 0.01 \
     --trace-out "$OBS_DIR/run.jsonl" --node-stats --timers \
@@ -53,7 +103,7 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro trace \
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro trace \
     "$OBS_DIR/run.jsonl" --kinds placement --events --limit 3
 
-echo "== approximate-placement family sweep (adaptive + costaware) =="
+gate "approximate-placement family sweep (adaptive + costaware)"
 # The greedy and single-copy placement schemes through the full
 # pipeline: an *audited* provisioned mini-sweep (uniform vs. edge-heavy
 # capacity profiles; the command exits non-zero on any audit violation,
@@ -86,20 +136,20 @@ print("approximate-placement sweep: both new schemes present in "
       "scheme-arch, all 6 provisioning rows accounted for")
 EOF
 
-echo "== disabled-instrumentation overhead gate =="
+gate "disabled-instrumentation overhead gate"
 # The obs layer's zero-overhead-when-off contract: a disabled bundle
 # must stay within 5% of plain engine throughput (interleaved min-of-N).
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q \
     benchmarks/test_micro_probe_overhead.py
 
-echo "== fast-path micro speedup gate =="
+gate "fast-path micro speedup gate"
 # The columnar kernels must stay recognizably faster than the reference
 # loop (conservative 2x floor; catches eligibility-check regressions
 # that silently reroute everything through the generic loop).
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q \
     benchmarks/test_micro_fastpath.py
 
-echo "== columnar fast-path throughput gate =="
+gate "columnar fast-path throughput gate"
 # The quick benchmark preset, checked against the committed
 # BENCH_sim.json baseline: the bit-exactness assertion runs inside the
 # benchmark (fast summary == reference summary per run), and the
@@ -109,7 +159,7 @@ echo "== columnar fast-path throughput gate =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python scripts/bench_sim.py \
     --quick --check
 
-echo "== live serve/loadgen smoke (loopback TCP) =="
+gate "live serve/loadgen smoke (loopback TCP)"
 # End to end through the serving layer: background `repro serve`, drive
 # part of the trace over real sockets with `repro loadgen`, scrape the
 # per-node /metrics endpoints and require the request counter to have
@@ -117,15 +167,6 @@ echo "== live serve/loadgen smoke (loopback TCP) =="
 # path.  SIGTERM, not SIGINT: POSIX shells start background jobs with
 # SIGINT ignored.  Every step is bounded by `timeout` when available.
 SERVE_DIR=$(mktemp -d)
-SERVE_PID=""
-cleanup() {
-    if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
-        kill -TERM "$SERVE_PID" 2>/dev/null || true
-        wait "$SERVE_PID" 2>/dev/null || true
-    fi
-    rm -rf "$OBS_DIR" "$SERVE_DIR"
-}
-trap cleanup EXIT
 if command -v timeout >/dev/null 2>&1; then
     BOUND="timeout 180"
 else
@@ -162,7 +203,7 @@ SERVE_PID=""
 test -s "$SERVE_DIR/snapshot.json"
 echo "graceful SIGTERM shutdown wrote $SERVE_DIR/snapshot.json"
 
-echo "== chaos smoke (fault-injected serve + loadgen) =="
+gate "chaos smoke (fault-injected serve + loadgen)"
 # The same serve/loadgen pair under the example fault plan: frame drops,
 # delays, duplicates, corruption, one node crash-and-restart and one
 # slow-down (the plan targets the small hierarchical topology at seed 0).
@@ -205,7 +246,7 @@ wait "$SERVE_PID" || true
 SERVE_PID=""
 echo "chaos smoke survived the fault plan with zero client-visible errors"
 
-echo "== sharded serve smoke (two worker processes, open-loop load) =="
+gate "sharded serve smoke (two worker processes, open-loop load)"
 # The cluster split across two shard worker processes, driven open-loop
 # (requests fire at retimed trace timestamps regardless of completions).
 # Gates: zero client-visible errors AND zero rejections -- at this
@@ -242,7 +283,7 @@ print(f"open-loop sharded smoke: {report['requests_total']} requests, "
       f"0 errors, {xfwd} cross-shard forwards")
 EOF
 
-echo "== observability smoke (traced shards + results warehouse) =="
+gate "observability smoke (traced shards + results warehouse)"
 # The PR-8 pipeline end to end: a short traced two-shard cluster writes
 # per-shard span files; a one-point sweep leaves results + run-record
 # sidecars; the loadgen report and a /metrics scrape land next to them;
@@ -311,7 +352,7 @@ print(f"warehouse smoke: {len(trees)} traces reconstructed, "
 print(cross[0].format())
 EOF
 
-echo "== coherency comparison smoke (in-band vs. channel) =="
+gate "coherency comparison smoke (in-band vs. channel)"
 # The PR-9 axis end to end.  Two real sim runs (same workload, same
 # update stream) produce the in-band and channel sides of the
 # comparison; a live channel-mode cluster then runs under a fault plan
@@ -382,7 +423,7 @@ with Warehouse(sys.argv[1]) as warehouse:
           f"across {sorted(contexts)}")
 EOF
 
-echo "== serve saturation throughput gate =="
+gate "serve saturation throughput gate"
 # The quick serving benchmark against the committed BENCH_serve.json
 # baseline: a two-shard cluster driven open-loop at offered rates far
 # below any machine's saturation knee.  The gate is the achieved/offered

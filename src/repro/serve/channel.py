@@ -143,7 +143,7 @@ class ChannelBroker:
         self._subscribers[node] = message.get("groups", "*")
         self.stats.subscriptions += 1
         self.stats.channel_bytes += SUB_BYTES
-        return {"type": MSG_SUB_OK, "node": node, "latest": self.latest()}
+        return {"type": MSG_SUB_OK, "node": node, "latest": self.wire_latest()}
 
     def _wants(self, node: int, group: int) -> bool:
         groups = self._subscribers[node]
@@ -197,7 +197,8 @@ class ChannelBroker:
             raise ProtocolError(
                 f"catchup frame missing field {missing}"
             ) from None
-        events = self._log.get(group, [])[since:]
+        # Copies: the log entries stay the broker's own.
+        events = [dict(entry) for entry in self._log.get(group, [])[since:]]
         self.stats.catchups += 1
         self.stats.channel_bytes += CATCHUP_BYTES + EVENT_BYTES * len(events)
         return {"type": MSG_CATCHUP_OK, "group": group, "events": events}
@@ -205,14 +206,19 @@ class ChannelBroker:
     # -- introspection -------------------------------------------------------
 
     def latest(self) -> Dict[int, int]:
-        """Latest sequence number per group (JSON keys become strings)."""
+        """Latest sequence number per group, keyed by group id."""
         return {group: len(log) for group, log in self._log.items()}
+
+    def wire_latest(self) -> Dict[str, int]:
+        """:meth:`latest` as frames carry it: JSON object keys are
+        strings, so in-process and TCP frames are identical."""
+        return {str(group): seq for group, seq in self.latest().items()}
 
     def stats_dict(self) -> dict:
         return {
             **self.stats.to_dict(),
             "event_drops": self.event_drops,
-            "latest": self.latest(),
+            "latest": self.wire_latest(),
         }
 
 
@@ -344,7 +350,11 @@ class ChannelSubscriber:
         return removed
 
     async def sync(self, latest: Dict, clock: float) -> int:
-        """Catch up to the broker's latest seqs (the drain-time chsync)."""
+        """Catch up to the broker's latest seqs (the drain-time chsync).
+
+        ``latest`` is the frame form, :meth:`ChannelBroker.wire_latest`:
+        group ids as string keys.
+        """
         removed = 0
         for group_key, seq in latest.items():
             group = int(group_key)

@@ -489,7 +489,7 @@ class Cluster:
         """
         if self.broker is None:
             return {}
-        latest = self.broker.latest()
+        latest = self.broker.wire_latest()
         pending: Dict[int, int] = {}
         for node_id in sorted(self.nodes):
             if self.nodes[node_id].subscriber is None:

@@ -451,7 +451,9 @@ class CacheNode:
         stats.misses += 1
         if report is not None:
             payload = report.to_dict() if hasattr(report, "to_dict") else report
-            reports.append(payload)
+            # Copy-on-send: the inbound list belongs to the frame that
+            # brought it, which a redelivery may dispatch again.
+            reports = reports + [payload]
             if self._piggyback:
                 added = REPORT_BYTES if payload.get("d") else TAG_BYTES
                 stats.piggyback_bytes += added
@@ -462,7 +464,7 @@ class CacheNode:
         # and the cost accounting both need it) plus the indices the walk
         # bypassed.  An unreachable origin attachment has nothing left to
         # fail over to and the error propagates downstream.
-        skipped = list(message.get("skipped", []))
+        skipped = message.get("skipped", [])
         next_index = index + 1
         while True:
             upstream = {
@@ -508,7 +510,7 @@ class CacheNode:
                 if next_index >= last:
                     raise
                 stats.failovers += 1
-                skipped.append(next_index)
+                skipped = skipped + [next_index]  # copy-on-send
                 if span is not None:
                     span["failovers"] += 1
                     span["skipped"].append(next_index)

@@ -27,8 +27,8 @@ kinds mirror the paper's online protocol (section 2.3):
 * ``error`` -- a structured protocol failure.
 
 JSON floats round-trip exactly (shortest-repr encoding), which is what
-lets an in-process replay of a trace through the cluster reproduce the
-simulator's metrics bit-for-bit.
+lets a replay over TCP reproduce the simulator's metrics bit-for-bit,
+just as the codec-free in-process replay does.
 
 Framing is strict: zero-length frames, frames above
 :data:`MAX_FRAME_BYTES`, truncated frames (peer death mid-message) and
@@ -160,8 +160,8 @@ def check_length(length: int, max_frame_bytes: int = MAX_FRAME_BYTES) -> int:
 class FrameDecoder:
     """Incremental frame decoder for byte streams fed in arbitrary chunks.
 
-    Used by the in-process transport and by tests that simulate partial
-    reads; the asyncio path uses :func:`read_message` directly.
+    Used by tests that simulate partial reads; the asyncio path uses
+    :func:`read_message` directly.
     """
 
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:

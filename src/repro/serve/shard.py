@@ -29,8 +29,9 @@ Three pieces:
 
 Semantics are unchanged by construction: every node still runs the same
 scheme steps on the same private state, paths still come from the shared
-routing table, and same-shard forwards short-circuit through the
-in-process transport (codec round trip included).  Admission control
+routing table, and same-shard forwards are direct handler calls
+through the in-process transport (under its message-ownership rules, see
+:mod:`repro.serve.transport`).  Admission control
 (``max_inflight`` -> ``busy`` frames, see :mod:`repro.serve.node`) is
 the backpressure story: an overloaded shard sheds instead of queueing
 without bound, and clients retry or fail over around it.  The
@@ -237,8 +238,8 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
         owned = set(spec.nodes)
 
         async def forward(node_id: int, message: dict) -> dict:
-            # Same-shard hops short-circuit in process (through the real
-            # codec); cross-shard hops are ordinary TCP frames.
+            # Same-shard hops are direct handler calls in process;
+            # cross-shard hops are ordinary TCP frames.
             if node_id in owned:
                 return await local.call(node_id, message)
             return await transport.call(peers[node_id], message)

@@ -1,23 +1,43 @@
 """Pluggable node-to-node transports for the live cluster.
 
-A :class:`Transport` hosts node servers and carries request/reply frames
-between them.  Two implementations:
+A :class:`Transport` hosts node servers and carries request/reply
+messages between them.  Two implementations:
 
 * :class:`InProcessTransport` -- every node lives in the calling event
-  loop; ``call`` runs the destination handler directly, but still pushes
-  each message through the real frame codec, so the serialization path
-  is identical to the wire.  Deterministic (no sockets, no scheduling
-  races under sequential drivers), which is what the simulator-vs-
-  cluster differential oracle runs on.
+  loop; ``call`` hands the message object straight to the destination
+  handler and returns the handler's reply object, with no encoding on
+  the way.  Deterministic (no sockets, no scheduling races under
+  sequential drivers), which is what the simulator-vs-cluster
+  differential oracle runs on.
 * :class:`TCPTransport` -- every node listens on its own TCP socket and
-  frames flow over loopback or a real network.  Connections are pooled
-  per destination; a pooled connection is only ever used by one in-
-  flight call at a time, so concurrent requests never interleave frames.
+  frames flow over loopback or a real network through the frame codec
+  (:func:`encode_frame` / :func:`decode_payload`).  Connections are
+  pooled per destination; a pooled connection is only ever used by one
+  in-flight call at a time, so concurrent requests never interleave
+  frames.
 
 Handlers are ``async (dict) -> dict``.  A handler exception is converted
 into an ``error`` frame by the hosting side and surfaces at the caller
 as :class:`~repro.serve.protocol.RemoteProtocolError` -- identically on
 both transports.
+
+**Message ownership.**  On TCP the codec gives every node a private copy
+of every message.  In process nothing is copied, so every caller and
+handler keeps these rules, which make both transports behave the same:
+
+* a sender gives a message away on ``call`` and does not touch it again;
+* a handler never mutates an inbound message (it may read and keep its
+  parts) -- fault injection dispatches the *same* object again for a
+  duplicate or a retry, so a mutation would leak into the redelivery;
+* a handler never returns objects it keeps: a reply is built fresh,
+  or copied from the handler's own state;
+* the reply belongs to the caller, which may mutate it -- the response
+  unwind advances ``decision["acc"]``, ``inserted`` and ``evictions``
+  in the reply it got from upstream and hands the same object down.
+
+Every message and reply must also be *JSON-transparent*: decoding its
+encoding gives an equal object (string dict keys, lists not tuples), so
+the bytes on TCP mean exactly what the object means in process.
 """
 
 from __future__ import annotations
@@ -30,7 +50,6 @@ from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.serve.protocol import (
-    HEADER_BYTES,
     MAX_FRAME_BYTES,
     CallTimeout,
     NodeUnreachable,
@@ -43,7 +62,42 @@ from repro.serve.protocol import (
     write_message,
 )
 
+# The frame codec is re-exported so that instrumentation wrapping the
+# codec at this module keeps a stable place to do so.
+__all__ = [
+    "CircuitBreaker",
+    "Handler",
+    "InProcessTransport",
+    "READ_CHUNK_BYTES",
+    "RetryPolicy",
+    "TCPTransport",
+    "Transport",
+    "decode_payload",
+    "encode_frame",
+]
+
 Handler = Callable[[dict], Awaitable[dict]]
+
+# Bytes one socket read asks for.  asyncio's selector transports read
+# with ``recv(256 KiB)`` by default: every read allocates a 256 KiB
+# buffer only to shrink it to a frame of a few hundred bytes, and
+# depending on the allocator's history each such buffer can be mapped
+# or re-faulted afresh (measured on a 2-vCPU x86-64 VM, glibc malloc:
+# about two page faults per read, a quarter of the CPU per request of a
+# loopback cascade).  Reads this size stay in the allocator's ordinary
+# heap; larger frames take more reads.
+READ_CHUNK_BYTES = 16 * 1024
+
+
+def _small_reads(writer: asyncio.StreamWriter) -> None:
+    """Cap the read size of one connection (see :data:`READ_CHUNK_BYTES`).
+
+    ``max_size`` is the read size of asyncio's selector transports;
+    transports without it are left alone.
+    """
+    transport = writer.transport
+    if hasattr(transport, "max_size"):
+        transport.max_size = READ_CHUNK_BYTES
 
 
 @dataclass(frozen=True)
@@ -170,10 +224,12 @@ async def _dispatch(handler: Handler, message: dict) -> dict:
 class InProcessTransport(Transport):
     """Deterministic single-process transport used by tests and examples.
 
-    ``call_timeout`` bounds one dispatch; it is meant for single-hop
-    handlers (a timeout cancels the handler mid-flight, which for a
-    nested walk would abandon in-flight upstream calls), so cluster runs
-    leave it ``None`` and let injected faults model lost frames instead.
+    Messages and replies pass by reference under the ownership rules in
+    the module docstring.  ``call_timeout`` bounds one dispatch; it is
+    meant for single-hop handlers (a timeout cancels the handler
+    mid-flight, which for a nested walk would abandon in-flight upstream
+    calls), so cluster runs leave it ``None`` and let injected faults
+    model lost frames instead.
     """
 
     def __init__(self, call_timeout: Optional[float] = None) -> None:
@@ -190,24 +246,19 @@ class InProcessTransport(Transport):
         handler = self._handlers.get(address)
         if handler is None:
             raise NodeUnreachable(f"no node at in-process address {address!r}")
-        # Round-trip through the real codec so in-process runs exercise
-        # exactly the bytes the TCP transport would put on the wire.
-        request = decode_payload(encode_frame(message)[HEADER_BYTES:])
         if self.call_timeout is None:
-            reply = await _dispatch(handler, request)
+            reply = await _dispatch(handler, message)
         else:
             try:
                 reply = await asyncio.wait_for(
-                    _dispatch(handler, request), timeout=self.call_timeout
+                    _dispatch(handler, message), timeout=self.call_timeout
                 )
             except asyncio.TimeoutError:
                 raise CallTimeout(
                     f"in-process call to node {address} exceeded "
                     f"{self.call_timeout}s"
                 ) from None
-        return raise_if_error(
-            decode_payload(encode_frame(reply)[HEADER_BYTES:])
-        )
+        return raise_if_error(reply)
 
     async def close(self) -> None:
         self._handlers.clear()
@@ -284,6 +335,7 @@ class TCPTransport(Transport):
         if task is not None:
             self._conn_tasks.add(task)
         self._conn_writers.add(writer)
+        _small_reads(writer)
         try:
             while True:
                 try:
@@ -314,11 +366,13 @@ class TCPTransport(Transport):
             return pool.pop()
         host, port = address
         try:
-            return await asyncio.open_connection(host, port)
+            reader, writer = await asyncio.open_connection(host, port)
         except OSError as error:
             raise NodeUnreachable(
                 f"cannot connect to {host}:{port}: {error!r}"
             ) from error
+        _small_reads(writer)
+        return reader, writer
 
     async def _round_trip(
         self,

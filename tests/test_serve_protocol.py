@@ -26,7 +26,11 @@ from repro.serve.protocol import (
     raise_if_error,
     read_message,
 )
-from repro.serve.transport import InProcessTransport, TCPTransport
+from repro.serve.transport import (
+    READ_CHUNK_BYTES,
+    InProcessTransport,
+    TCPTransport,
+)
 
 
 def run(coro, timeout=10.0):
@@ -185,17 +189,23 @@ class TestInProcessTransport:
 
         run(scenario())
 
-    def test_messages_cross_the_codec(self):
-        # An unserializable message must fail exactly as it would on TCP.
+    def test_call_hands_over_the_objects(self):
+        # No codec in process: the handler gets the sender's message
+        # object and the caller gets the handler's reply object (the
+        # ownership rules are checked in tests/test_serve_ownership.py).
         async def scenario():
             transport = InProcessTransport()
+            reply = {"type": "pong"}
+            seen = []
 
             async def handler(message):
-                return {"type": "pong"}
+                seen.append(message)
+                return reply
 
             await transport.start_node(1, handler)
-            with pytest.raises(TypeError):
-                await transport.call(1, {"type": "ping", "bad": object()})
+            message = {"type": "ping"}
+            assert await transport.call(1, message) is reply
+            assert seen == [message] and seen[0] is message
             await transport.close()
 
         run(scenario())
@@ -219,6 +229,19 @@ class TestTCPTransportRobustness:
                 )
                 assert reply == {"type": "pong", "echo": n}
             assert len(transport._pools[address]) == 1
+            await transport.close()
+
+        run(scenario())
+
+    def test_small_reads_carry_frames_larger_than_one_read(self):
+        async def scenario():
+            transport = TCPTransport()
+            address = await self._echo_node(transport)
+            big = "x" * (3 * READ_CHUNK_BYTES)
+            reply = await transport.call(address, {"type": "ping", "n": big})
+            assert reply == {"type": "pong", "echo": big}
+            (_, writer), = transport._pools[address]
+            assert writer.transport.max_size == READ_CHUNK_BYTES
             await transport.close()
 
         run(scenario())
