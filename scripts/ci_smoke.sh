@@ -201,6 +201,12 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
 SERVE_PID=""
 test -s "$SERVE_DIR/snapshot.json"
+python - "$SERVE_DIR/snapshot.json" <<'EOF'
+import json, sys
+
+violations = json.load(open(sys.argv[1]))["invariant_violations"]
+assert violations == [], f"node invariants broken after drain: {violations}"
+EOF
 echo "graceful SIGTERM shutdown wrote $SERVE_DIR/snapshot.json"
 
 gate "chaos smoke (fault-injected serve + loadgen)"

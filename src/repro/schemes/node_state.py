@@ -89,10 +89,18 @@ class DescriptorNode:
 
         Used on the response path when the object is not cached at this
         node (paper section 2.4).  A freshly created descriptor records the
-        current reference.
+        current reference.  When a concurrent walk has cached the object
+        here meanwhile, only the cached copy's miss penalty is refreshed:
+        an object never has a descriptor in both caches.
         """
         descriptor = self.dcache.peek(object_id)
         if descriptor is None:
+            # A d-cache descriptor rules out a cached copy, so only its
+            # absence needs the main cache checked.
+            entry = self.cache.entry(object_id)
+            if entry is not None:
+                self.cache.set_miss_penalty(object_id, penalty, now)
+                return entry.descriptor
             descriptor = ObjectDescriptor(object_id, size, miss_penalty=penalty)
             descriptor.record_access(now)
             self.dcache.insert(descriptor)
@@ -107,11 +115,15 @@ class DescriptorNode:
 
         The object's descriptor is pulled from the d-cache when present
         (preserving its frequency history) or freshly created.  Returns the
-        evicted entries, or ``None`` when the object exceeds the cache
-        capacity and nothing was done.
+        evicted entries, or ``None`` when nothing was inserted: the object
+        exceeds the cache capacity, or a concurrent walk has already cached
+        it here (then only its miss penalty is refreshed).
         """
         descriptor = self.dcache.remove(object_id)
         if descriptor is None:
+            if object_id in self.cache:
+                self.cache.set_miss_penalty(object_id, penalty, now)
+                return None
             descriptor = ObjectDescriptor(object_id, size, miss_penalty=penalty)
             descriptor.record_access(now)
         else:

@@ -324,9 +324,19 @@ class Cluster:
         return True
 
     def snapshot(self) -> dict:
-        """Point-in-time cluster state: per-node counters and cache fill."""
+        """Point-in-time cluster state: per-node counters and cache fill.
+
+        ``invariant_violations`` lists every node whose scheme fails its
+        ``check_invariants`` (empty on a correct run); taken after a drain
+        it checks that concurrent walks left every node consistent.
+        """
         nodes = {}
+        violations = []
         for node_id, node in sorted(self.nodes.items()):
+            try:
+                node.scheme.check_invariants()
+            except AssertionError as error:
+                violations.append(f"node {node_id}: {error}")
             entry = {
                 "requests_handled": node.requests_handled,
                 "cached_bytes": node.scheme.total_cached_bytes(),
@@ -339,6 +349,7 @@ class Cluster:
             "scheme": self.scheme_name,
             "architecture": self.architecture.name,
             "nodes": nodes,
+            "invariant_violations": violations,
         }
         if self.broker is not None:
             snap["channel"] = {

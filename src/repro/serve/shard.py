@@ -29,9 +29,10 @@ Three pieces:
 
 Semantics are unchanged by construction: every node still runs the same
 scheme steps on the same private state, paths still come from the shared
-routing table, and same-shard forwards are direct handler calls
-through the in-process transport (under its message-ownership rules, see
-:mod:`repro.serve.transport`).  Admission control
+routing table, and every forward is one ``transport.call``: the TCP
+transport dispatches same-shard hops straight to the hosted handler
+(under its message-ownership rules, see :mod:`repro.serve.transport`)
+and sends cross-shard hops as frames.  Admission control
 (``max_inflight`` -> ``busy`` frames, see :mod:`repro.serve.node`) is
 the backpressure story: an overloaded shard sheds instead of queueing
 without bound, and clients retry or fail over around it.  The
@@ -215,7 +216,7 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
     from repro.serve.metrics_http import MetricsServer
     from repro.serve.node import CacheNode
     from repro.serve.tracing import NodeTracer
-    from repro.serve.transport import InProcessTransport, TCPTransport
+    from repro.serve.transport import TCPTransport
     from repro.sim.factory import build_scheme
 
     async def serve() -> None:
@@ -233,15 +234,9 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
         transport = TCPTransport(
             host=spec.host, call_timeout=spec.rpc_timeout
         )
-        local = InProcessTransport()
         peers: Dict[int, Tuple[str, int]] = {}
-        owned = set(spec.nodes)
 
         async def forward(node_id: int, message: dict) -> dict:
-            # Same-shard hops are direct handler calls in process;
-            # cross-shard hops are ordinary TCP frames.
-            if node_id in owned:
-                return await local.call(node_id, message)
             return await transport.call(peers[node_id], message)
 
         nodes: Dict[int, CacheNode] = {}
@@ -257,7 +252,7 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
                 sample_every=spec.trace_sample_every,
                 kinds=("span",),
             )
-        for node_id in sorted(owned):
+        for node_id in sorted(spec.nodes):
             node = CacheNode(
                 node_id,
                 build_scheme(
@@ -283,7 +278,6 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
             addresses[node_id] = await transport.start_node(
                 node_id, node.handle
             )
-            await local.start_node(node_id, node.handle)
             if spec.metrics:
                 server = MetricsServer(node.registry, host=spec.host, port=0)
                 metrics_servers.append(server)
@@ -319,7 +313,6 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
         for server in metrics_servers:
             await server.close()
         await transport.close()
-        await local.close()
         if trace_writer is not None:
             # Close before acking stop: the parent may read the span
             # files the moment stop() returns.

@@ -9,21 +9,25 @@ messages between them.  Two implementations:
   the way.  Deterministic (no sockets, no scheduling races under
   sequential drivers), which is what the simulator-vs-cluster
   differential oracle runs on.
-* :class:`TCPTransport` -- every node listens on its own TCP socket and
-  frames flow over loopback or a real network through the frame codec
-  (:func:`encode_frame` / :func:`decode_payload`).  Connections are
-  pooled per destination; a pooled connection is only ever used by one
-  in-flight call at a time, so concurrent requests never interleave
-  frames.
+* :class:`TCPTransport` -- every node listens on its own TCP socket.
+  Frames flow over loopback or a real network through the frame codec
+  (:func:`encode_frame` / :func:`decode_payload`) only between
+  processes: a call to an address the same transport hosts is a direct
+  handler call, exactly as in process -- a process never dials itself.
+  Connections are pooled per destination; a pooled connection is only
+  ever used by one in-flight call at a time, so concurrent requests
+  never interleave frames.
 
 Handlers are ``async (dict) -> dict``.  A handler exception is converted
 into an ``error`` frame by the hosting side and surfaces at the caller
 as :class:`~repro.serve.protocol.RemoteProtocolError` -- identically on
-both transports.
+both transports and for hosted and remote addresses alike.
 
-**Message ownership.**  On TCP the codec gives every node a private copy
-of every message.  In process nothing is copied, so every caller and
-handler keeps these rules, which make both transports behave the same:
+**Message ownership.**  Across a socket the codec gives every node a
+private copy of every message.  A direct handler call (in process, or
+to an address a :class:`TCPTransport` hosts) copies nothing, so every
+caller and handler keeps these rules, which make all paths behave the
+same:
 
 * a sender gives a message away on ``call`` and does not touch it again;
 * a handler never mutates an inbound message (it may read and keep its
@@ -265,7 +269,13 @@ class InProcessTransport(Transport):
 
 
 class TCPTransport(Transport):
-    """One listening socket per node; framed request/reply over TCP."""
+    """One listening socket per node; framed request/reply over TCP.
+
+    A call to an address this transport hosts never touches a socket:
+    it dispatches straight to the node's handler under the ownership
+    rules in the module docstring.  Only addresses hosted elsewhere
+    (another transport, another process) are dialled.
+    """
 
     def __init__(
         self,
@@ -281,7 +291,8 @@ class TCPTransport(Transport):
         many connections this transport holds toward one destination
         (``None`` = one per concurrent call) -- excess callers queue for a
         slot, bounding the process's file descriptors under heavy open-loop
-        load."""
+        load.  Hosted calls use no connection and no slot; they keep
+        ``call_timeout``."""
         if call_timeout is not None and call_timeout <= 0:
             raise ValueError("call_timeout must be positive")
         if drain_timeout <= 0:
@@ -304,6 +315,10 @@ class TCPTransport(Transport):
         self._conn_slots: Dict[Tuple[str, int], asyncio.Semaphore] = {}
         self._conn_tasks: set = set()
         self._conn_writers: set = set()
+        # Handlers of the nodes this transport serves, by bound address,
+        # and the dispatch tasks of hosted calls under a deadline.
+        self._hosted: Dict[Tuple[str, int], Handler] = {}
+        self._hosted_tasks: set = set()
         self._closed = False
 
     async def start_node(
@@ -317,7 +332,9 @@ class TCPTransport(Transport):
         )
         self._servers.append(server)
         bound = server.sockets[0].getsockname()
-        return bound[0], bound[1]
+        address = (bound[0], bound[1])
+        self._hosted[address] = handler
+        return address
 
     async def _serve_connection(
         self,
@@ -331,6 +348,9 @@ class TCPTransport(Transport):
         frame and the connection is closed -- the stream can no longer
         be trusted past a corrupt frame.
         """
+        if self._closed:
+            writer.close()
+            return
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
@@ -350,6 +370,12 @@ class TCPTransport(Transport):
                 await write_message(writer, reply)
         except ConnectionError:
             pass
+        except asyncio.CancelledError:
+            # close() cancelled a dispatch stuck past its drain window.  End
+            # the task normally: asyncio reports a cancelled connection task
+            # as an exception in a callback, with a traceback.
+            if not self._closed:
+                raise
         finally:
             self._conn_writers.discard(writer)
             if task is not None:
@@ -385,6 +411,13 @@ class TCPTransport(Transport):
 
     async def call(self, address, message: dict) -> dict:
         address = (address[0], address[1])
+        handler = self._hosted.get(address)
+        if handler is not None:
+            if self._closed:
+                raise NodeUnreachable(
+                    f"node at {address[0]}:{address[1]} has stopped"
+                )
+            return await self._call_hosted(address, handler, message)
         if self.max_connections_per_address is None:
             return await self._call_on_connection(address, message)
         slot = self._conn_slots.get(address)
@@ -393,6 +426,39 @@ class TCPTransport(Transport):
             self._conn_slots[address] = slot
         async with slot:
             return await self._call_on_connection(address, message)
+
+    async def _call_hosted(
+        self, address: Tuple[str, int], handler: Handler, message: dict
+    ) -> dict:
+        """A call to a node this transport hosts: no socket, no codec.
+
+        Without a deadline the handler is a plain await.  With one, the
+        handler runs in its own task: a caller past the deadline gets
+        :class:`CallTimeout` while the handler carries on, as a remote
+        server would, and :meth:`close` drains that task like a
+        connection's.
+        """
+        if self.call_timeout is None:
+            return raise_if_error(await _dispatch(handler, message))
+        task = asyncio.ensure_future(_dispatch(handler, message))
+        self._hosted_tasks.add(task)
+        task.add_done_callback(self._hosted_tasks.discard)
+        try:
+            reply = await asyncio.wait_for(
+                asyncio.shield(task), timeout=self.call_timeout
+            )
+        except asyncio.TimeoutError:
+            raise CallTimeout(
+                f"call to {address[0]}:{address[1]} exceeded "
+                f"{self.call_timeout}s"
+            ) from None
+        except asyncio.CancelledError:
+            if not (task.cancelled() and self._closed):
+                raise  # the caller itself was cancelled
+            raise ProtocolError(
+                f"node at {address[0]}:{address[1]} stopped before replying"
+            ) from None
+        return raise_if_error(reply)
 
     async def _call_on_connection(
         self, address: Tuple[str, int], message: dict
@@ -442,16 +508,21 @@ class TCPTransport(Transport):
             with contextlib.suppress(Exception):
                 await server.wait_closed()
         self._servers.clear()
+        # Let connection tasks created just before the close take their
+        # first step: each sees the transport closed and ends, rather than
+        # being cancelled unstarted at event-loop shutdown.
+        await asyncio.sleep(0)
         for pool in self._pools.values():
             for _, writer in pool:
                 writer.close()
         self._pools.clear()
-        # Drain server-side connection loops: closing their writers feeds
-        # EOF into the pending reads, so every loop exits cleanly before
-        # the event loop shuts down (no dangling tasks to cancel).
+        # Drain server-side connection loops and hosted dispatches: closing
+        # the writers feeds EOF into the pending reads, so every loop exits
+        # cleanly before the event loop shuts down (no dangling tasks).
         for writer in list(self._conn_writers):
             writer.close()
-        tasks = [t for t in self._conn_tasks if not t.done()]
+        owned = self._conn_tasks | self._hosted_tasks
+        tasks = [t for t in owned if not t.done()]
         if tasks:
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(
@@ -461,7 +532,7 @@ class TCPTransport(Transport):
         # Anything still running past the drain deadline is a handler
         # stuck mid-dispatch (e.g. asleep); cancel it so close() never
         # leaves dangling tasks behind in the event loop.
-        stragglers = [t for t in self._conn_tasks if not t.done()]
+        stragglers = [t for t in owned if not t.done()]
         for task in stragglers:
             task.cancel()
         if stragglers:

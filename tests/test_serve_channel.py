@@ -26,7 +26,7 @@ import pytest
 from repro.coherency import CoherencyConfig, build_policy
 from repro.costs.model import LatencyCostModel
 from repro.experiments.presets import build_architecture
-from repro.serve import Cluster, LoadGenerator, TCPTransport
+from repro.serve import Cluster, ClusterClient, LoadGenerator, TCPTransport
 from repro.serve.channel import (
     BROKER_NODE_ID,
     ChannelBroker,
@@ -329,8 +329,19 @@ def simulate(arch, catalog, scheme_name, trace, updates, coherency):
 
 
 def serve_replay(
-    arch, catalog, scheme_name, trace, updates, coherency, transport=None
+    arch,
+    catalog,
+    scheme_name,
+    trace,
+    updates,
+    coherency,
+    transport=None,
+    client_transport=None,
 ):
+    """Replay through the cluster itself, or -- with ``client_transport``
+    -- through a :class:`ClusterClient` on that transport, as
+    ``repro loadgen`` drives a cluster from another process."""
+
     async def scenario():
         cluster = Cluster.build(
             arch,
@@ -341,13 +352,28 @@ def serve_replay(
             transport=transport,
         )
         await cluster.start()
+        driver = cluster
+        if client_transport is not None:
+            driver = ClusterClient(
+                arch,
+                cluster.cost_model,
+                cluster.addresses,
+                client_transport,
+                coherency=coherency,
+                groups=cluster.groups,
+                broker_address=cluster.broker_address,
+            )
         loadgen = LoadGenerator(
-            cluster,
+            driver,
             trace,
             updates=updates,
             warmup_fraction=CONFIG.warmup_fraction,
         )
         report = await loadgen.run(mode="sequential")
+        if client_transport is not None:
+            pooled = client_transport._pools.values()
+            assert sum(len(pool) for pool in pooled) >= 1
+            await driver.close()
         invalidations = sum(
             node.scheme.protocol_stats.invalidations
             for node in cluster.nodes.values()
@@ -425,6 +451,7 @@ class TestChannelClusterOracle:
         report, snapshot, _ = serve_replay(
             arch, catalog, "lru", trace, updates, config,
             transport=TCPTransport(),
+            client_transport=TCPTransport(),
         )
         assert report.summary == sim.summary
         assert report.copies_invalidated == sim.copies_invalidated

@@ -212,6 +212,10 @@ class TestInProcessTransport:
 
 
 class TestTCPTransportRobustness:
+    """A server transport hosts the node; calls that must cross a socket
+    go through a second, client-only transport (a transport calling an
+    address it hosts dispatches directly, see test_serve_hosted.py)."""
+
     @staticmethod
     async def _echo_node(transport):
         async def handler(message):
@@ -221,28 +225,28 @@ class TestTCPTransportRobustness:
 
     def test_request_reply_and_pooling(self):
         async def scenario():
-            transport = TCPTransport()
-            address = await self._echo_node(transport)
+            server, client = TCPTransport(), TCPTransport()
+            address = await self._echo_node(server)
             for n in range(3):  # sequential calls reuse one pooled conn
-                reply = await transport.call(
-                    address, {"type": "ping", "n": n}
-                )
+                reply = await client.call(address, {"type": "ping", "n": n})
                 assert reply == {"type": "pong", "echo": n}
-            assert len(transport._pools[address]) == 1
-            await transport.close()
+            assert len(client._pools[address]) == 1
+            await client.close()
+            await server.close()
 
         run(scenario())
 
     def test_small_reads_carry_frames_larger_than_one_read(self):
         async def scenario():
-            transport = TCPTransport()
-            address = await self._echo_node(transport)
+            server, client = TCPTransport(), TCPTransport()
+            address = await self._echo_node(server)
             big = "x" * (3 * READ_CHUNK_BYTES)
-            reply = await transport.call(address, {"type": "ping", "n": big})
+            reply = await client.call(address, {"type": "ping", "n": big})
             assert reply == {"type": "pong", "echo": big}
-            (_, writer), = transport._pools[address]
+            (_, writer), = client._pools[address]
             assert writer.transport.max_size == READ_CHUNK_BYTES
-            await transport.close()
+            await client.close()
+            await server.close()
 
         run(scenario())
 
@@ -289,10 +293,11 @@ class TestTCPTransportRobustness:
             writer.close()
             await writer.wait_closed()
             # The server must shrug that connection off and keep serving.
-            reply = await transport.call(
-                (host, port), {"type": "ping", "n": 1}
-            )
+            client = TCPTransport()
+            reply = await client.call((host, port), {"type": "ping", "n": 1})
             assert reply == {"type": "pong", "echo": 1}
+            assert client._pools[(host, port)]  # the reply crossed a socket
+            await client.close()
             await transport.close()
 
         run(scenario())
@@ -316,15 +321,17 @@ class TestTCPTransportRobustness:
 
     def test_handler_exception_surfaces_remotely(self):
         async def scenario():
-            transport = TCPTransport()
+            server, client = TCPTransport(), TCPTransport()
 
             async def handler(message):
                 raise KeyError("missing thing")
 
-            address = await transport.start_node(1, handler)
+            address = await server.start_node(1, handler)
             with pytest.raises(RemoteProtocolError, match="missing thing"):
-                await transport.call(address, {"type": "ping"})
-            await transport.close()
+                await client.call(address, {"type": "ping"})
+            assert client._pools[address]  # the error frame crossed a socket
+            await client.close()
+            await server.close()
 
         run(scenario())
 

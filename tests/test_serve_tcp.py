@@ -5,6 +5,11 @@ simulator bit-for-bit, these tests run real sockets end to end: a
 cluster served over loopback TCP must agree with the simulator on the
 hit/miss totals, survive concurrent closed-loop load, and expose its
 live counters over the per-node ``/metrics`` HTTP endpoints.
+
+The load generator drives the cluster through a :class:`ClusterClient`
+on its own :class:`TCPTransport`, as ``repro loadgen`` does from another
+process: a transport calling an address it hosts dispatches directly,
+so only a second transport makes every request cross a socket.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import pytest
 
 from repro.costs.model import LatencyCostModel
 from repro.experiments.presets import build_architecture
-from repro.serve import Cluster, LoadGenerator, TCPTransport
+from repro.serve import Cluster, ClusterClient, LoadGenerator, TCPTransport
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.factory import build_scheme
@@ -40,6 +45,22 @@ def scenario():
     catalog = generator.catalog
     arch = build_architecture("hierarchical", WORKLOAD, seed=4)
     return arch, trace, catalog
+
+
+def tcp_client(cluster):
+    """A client of ``cluster`` whose calls all cross a socket."""
+    return ClusterClient(
+        cluster.architecture,
+        cluster.cost_model,
+        cluster.addresses,
+        TCPTransport(),
+    )
+
+
+def connections_held(client) -> int:
+    """Pooled connections of a client's transport (after a quiet run,
+    every connection it opened is back in the pool)."""
+    return sum(len(pool) for pool in client.transport._pools.values())
 
 
 def run(coro, timeout=60.0):
@@ -88,10 +109,13 @@ class TestTCPLoopback:
                 transport=TCPTransport(),
             )
             await cluster.start()
+            client = tcp_client(cluster)
             loadgen = LoadGenerator(
-                cluster, trace, warmup_fraction=CONFIG.warmup_fraction
+                client, trace, warmup_fraction=CONFIG.warmup_fraction
             )
             report = await loadgen.run(mode="sequential")
+            assert connections_held(client) >= 1
+            await client.close()
             await cluster.stop()
             return report
 
@@ -110,8 +134,11 @@ class TestTCPLoopback:
                 arch, catalog, "lru", config=CONFIG, transport=TCPTransport()
             )
             await cluster.start()
-            loadgen = LoadGenerator(cluster, trace)
+            client = tcp_client(cluster)
+            loadgen = LoadGenerator(client, trace)
             report = await loadgen.run(mode="closed", concurrency=6)
+            assert connections_held(client) >= 1
+            await client.close()
             await cluster.stop()
             return report
 
@@ -131,8 +158,11 @@ class TestTCPLoopback:
             )
             await cluster.start()
             endpoints = await cluster.enable_metrics()
-            loadgen = LoadGenerator(cluster, trace)
+            client = tcp_client(cluster)
+            loadgen = LoadGenerator(client, trace)
             await loadgen.run(mode="sequential")
+            assert connections_held(client) >= 1
+            await client.close()
 
             ingress = arch.client_nodes[trace[0].client_id]
             host, port = endpoints[ingress]
@@ -160,24 +190,24 @@ class TestTCPLoopback:
 class TestTransportPool:
     """Connection-pool behavior under concurrency, timeouts, and close().
 
-    These drive a bare :class:`TCPTransport` with purpose-built handlers
-    (no cluster): the pool must never hand a caller a connection that
-    may still carry another call's late reply, must bound per-address
-    connections when asked, and must never hang ``close()`` on an
-    in-flight dispatch.
+    These drive a bare client :class:`TCPTransport` against nodes a
+    second transport hosts, with purpose-built handlers (no cluster):
+    the pool must never hand a caller a connection that may still carry
+    another call's late reply, must bound per-address connections when
+    asked, and must never hang ``close()`` on an in-flight dispatch.
     """
 
     def test_concurrent_callers_all_complete_and_pool_reuses(self):
         from repro.serve.transport import TCPTransport
 
         async def scenario():
-            transport = TCPTransport()
+            server, transport = TCPTransport(), TCPTransport()
 
             async def handler(message):
                 await asyncio.sleep(0.01)
                 return {"type": "pong", "echo": message["n"]}
 
-            address = await transport.start_node(0, handler)
+            address = await server.start_node(0, handler)
             first = await asyncio.gather(
                 *(
                     transport.call(address, {"type": "ping", "n": i})
@@ -195,6 +225,7 @@ class TestTransportPool:
             )
             pooled_after = len(transport._pools.get(tuple(address), []))
             await transport.close()
+            await server.close()
             return first, second, pooled, pooled_after
 
         first, second, pooled, pooled_after = run(scenario())
@@ -212,6 +243,7 @@ class TestTransportPool:
         from repro.serve.transport import TCPTransport
 
         async def scenario():
+            server = TCPTransport()
             transport = TCPTransport(call_timeout=0.15)
             release = asyncio.Event()
 
@@ -220,7 +252,7 @@ class TestTransportPool:
                     await release.wait()  # outlive the caller's deadline
                 return {"type": "pong", "echo": message["n"]}
 
-            address = await transport.start_node(0, handler)
+            address = await server.start_node(0, handler)
             with pytest.raises(CallTimeout):
                 await transport.call(address, {"type": "ping", "n": 1})
             assert not transport._pools.get(tuple(address))
@@ -235,6 +267,7 @@ class TestTransportPool:
                 )
                 assert again["echo"] == 3
             await transport.close()
+            await server.close()
             return reply
 
         assert run(scenario())["echo"] == 2
@@ -244,34 +277,45 @@ class TestTransportPool:
         from repro.serve.transport import TCPTransport
 
         async def scenario():
-            transport = TCPTransport(drain_timeout=0.3)
+            server = TCPTransport(drain_timeout=0.3)
+            client = TCPTransport()
             never = asyncio.Event()
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context)
+            )
 
             async def handler(message):
                 await never.wait()
                 return {"type": "pong"}
 
-            address = await transport.start_node(0, handler)
+            address = await server.start_node(0, handler)
             call = asyncio.ensure_future(
-                transport.call(address, {"type": "ping"})
+                client.call(address, {"type": "ping"})
             )
             await asyncio.sleep(0.05)  # let the call reach the handler
             started = asyncio.get_running_loop().time()
-            await transport.close()
+            await server.close()
             elapsed = asyncio.get_running_loop().time() - started
             outcome = await asyncio.gather(call, return_exceptions=True)
-            return elapsed, outcome[0]
+            await client.close()
+            await asyncio.sleep(0.05)  # let any done-callbacks run
+            return elapsed, outcome[0], reported
 
-        elapsed, outcome = run(scenario())
+        elapsed, outcome, reported = run(scenario())
         # close() waited for the drain window, cancelled the stuck
         # dispatch, and returned -- it must not wait forever.
         assert elapsed < 5.0
         assert isinstance(outcome, (ProtocolError, ConnectionError))
+        # The cancelled connection task ended quietly: asyncio reported
+        # no exception (no CancelledError traceback on the stop path).
+        assert reported == []
 
     def test_connection_cap_bounds_server_side_concurrency(self):
         from repro.serve.transport import TCPTransport
 
         async def scenario():
+            server = TCPTransport()
             transport = TCPTransport(max_connections_per_address=2)
             inflight = 0
             peak = 0
@@ -284,7 +328,7 @@ class TestTransportPool:
                 inflight -= 1
                 return {"type": "pong", "echo": message["n"]}
 
-            address = await transport.start_node(0, handler)
+            address = await server.start_node(0, handler)
             replies = await asyncio.gather(
                 *(
                     transport.call(address, {"type": "ping", "n": i})
@@ -292,6 +336,7 @@ class TestTransportPool:
                 )
             )
             await transport.close()
+            await server.close()
             return replies, peak
 
         replies, peak = run(scenario())
